@@ -8,7 +8,6 @@ use std::time::Instant;
 
 use gdim_core::{GraphId, Hit, SearchRequest};
 use gdim_graph::{mcs_edges, Graph, McsOutcome};
-use gdim_server::wire::response_from_json;
 use gdim_server::Json;
 use gdim_shard::{DurableHandle, ShardId, ShardedIndex};
 
@@ -25,17 +24,16 @@ pub fn same_hits(what: &str, a: &[Hit], b: &[Hit]) -> Result<(), String> {
     Err(format!("{what}: {a:?} != {b:?}"))
 }
 
-/// The served answer `body` to `q` must carry exactly the hits of the
-/// in-process `ShardedIndex::search`, ids and distance bits alike.
+/// The `served` hits for `q` must be exactly those of the in-process
+/// `ShardedIndex::search`, ids and distance bits alike.
 pub fn served_matches(
     snap: &ShardedIndex,
     q: &Graph,
     req: &SearchRequest,
-    body: &Json,
+    served: &[Hit],
 ) -> Result<(), String> {
-    let served = response_from_json(body).map_err(|e| format!("bad served answer: {e}"))?;
     let local = snap.search(q, req).map_err(|e| e.to_string())?;
-    same_hits("served vs in-process", &served.hits, &local.hits)
+    same_hits("served vs in-process", served, &local.hits)
 }
 
 /// The top-k of `candidates` by `(δ, insertion order)` — `(δ, id)`
@@ -78,20 +76,13 @@ pub fn refine_oracle(snap: &ShardedIndex, q: &Graph) -> Vec<Hit> {
     rank_by_delta(snap, q, &candidates.hits, |_, _, _| {})
 }
 
-/// A served Refined answer must equal [`refine_oracle`].
-pub fn refined_matches_oracle(snap: &ShardedIndex, q: &Graph, body: &Json) -> Result<(), String> {
-    let served = response_from_json(body).map_err(|e| format!("bad served answer: {e}"))?;
-    same_hits("served vs oracle", &served.hits, &refine_oracle(snap, q))
-}
-
-/// Ids in a served search answer.
-pub fn hit_ids(body: &Json) -> Vec<u64> {
-    body.get("hits")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|h| h.get("id").and_then(Json::as_u64))
-        .collect()
+/// Served Refined hits must equal [`refine_oracle`].
+pub fn refined_matches_oracle(
+    snap: &ShardedIndex,
+    q: &Graph,
+    served: &[Hit],
+) -> Result<(), String> {
+    same_hits("served vs oracle", served, &refine_oracle(snap, q))
 }
 
 /// What the churn's writes were acked with.
@@ -133,8 +124,7 @@ pub fn no_hit_after_remove<'a>(
 ) -> Result<(), String> {
     let removed: HashMap<u64, Instant> = acked.removes.iter().copied().collect();
     for r in searches {
-        let Some(body) = &r.body else { continue };
-        for id in hit_ids(body) {
+        for id in r.hits.iter().map(|h| u64::from(h.id.0)) {
             if removed.get(&id).is_some_and(|&at| r.sent > at) {
                 return Err(format!(
                     "id {id} returned by a search sent after its remove was acked"
@@ -182,15 +172,15 @@ pub fn replay_matches(
     if writes.iter().any(|r| !r.ok) {
         return Err("a write failed, so the churn cannot be replayed".to_string());
     }
-    let mut due: Vec<(usize, usize, &Json)> = Vec::new();
+    let mut due: Vec<(usize, usize, &[Hit])> = Vec::new();
     for (i, r) in recs.iter().enumerate() {
-        let (Op::Search(q), Some(body)) = (r.op, &r.body) else {
+        let (Op::Search(q), true) = (r.op, r.ok) else {
             continue;
         };
         let before = writes.partition_point(|w| w.done <= r.sent);
         let overlaps = writes.get(before).is_some_and(|w| w.sent < r.done);
         if sample(i) && !overlaps {
-            due.push((before, q, body));
+            due.push((before, q, &r.hits));
         }
     }
     due.sort_by_key(|d| d.0);
@@ -222,12 +212,12 @@ pub fn replay_matches(
         }
         Ok(())
     };
-    for &(before, q, body) in &due {
+    for &(before, q, hits) in &due {
         while applied < before {
             apply(&mut index, writes[applied])?;
             applied += 1;
         }
-        served_matches(&index, &queries[q], req, body)?;
+        served_matches(&index, &queries[q], req, hits)?;
     }
     for w in &writes[applied..] {
         apply(&mut index, w)?;

@@ -3,12 +3,13 @@
 //! the timed run, and keeps the timings as spans (name, start, end,
 //! parent, request id) that are written out when the run ends.
 
+use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use gdim_core::{GraphId, Ranker, SearchRequest, SearchResponse};
 use gdim_graph::Graph;
-use gdim_server::wire::{query_from_json, request_from_json, response_from_json, response_to_json};
+use gdim_server::wire::{query_from_json, request_from_json, response_to_json};
 use gdim_server::{parse_json, Json, QuerySpec};
 use gdim_shard::durable::generation_dir;
 use gdim_shard::{DurableHandle, ShardId, ShardedIndex, SyncPolicy};
@@ -16,7 +17,7 @@ use gdim_wal::{WalRecord, WalWriter};
 
 use crate::checks;
 use crate::inputs::{self, repeat_share, Op};
-use crate::load::{run_plans, summarize, Bodies, Pace, Rec};
+use crate::load::{merged, run_plans, Bodies, Pace, Run};
 use crate::setup::{Setup, SYNC};
 use crate::stats::{mean, median, quantile, Metrics};
 use crate::{work_dir, Args};
@@ -28,6 +29,8 @@ const WRITE_SAMPLE: usize = 200;
 
 pub struct LedgerInput<'a> {
     pub args: &'a Args,
+    /// Where the server listens.
+    pub addr: SocketAddr,
     pub setup: &'a Setup,
     /// The index as built, before any write.
     pub initial: &'a ShardedIndex,
@@ -39,8 +42,10 @@ pub struct LedgerInput<'a> {
     /// Query indices of the traced phase, in send order.
     pub traced: &'a [usize],
     pub rate: f64,
-    /// The timed run's open loop, and the tail quantile the run uses.
-    pub timed_open: Vec<&'a Rec>,
+    /// The timed run's open loop, the queries it sent, and the tail
+    /// quantile the run uses.
+    pub timed_open: &'a [Run; 2],
+    pub open_queries: &'a [usize],
     pub tail_q: f64,
     /// Whether each traced answer is checked against the refine oracle.
     pub oracle: bool,
@@ -157,7 +162,7 @@ pub struct Ledger {
 pub fn ledger(inp: LedgerInput) -> Ledger {
     let origin = Instant::now();
     let snap = inp.served;
-    let addr = inp.setup.server.addr();
+    let addr = inp.addr;
     let mut m = Metrics::default();
     build_metrics(&mut m, inp.setup);
 
@@ -172,15 +177,16 @@ pub fn ledger(inp: LedgerInput) -> Ledger {
     let plans = inputs::open_plans(inp.traced.iter().copied(), inp.rate);
     let phase = |keep: bool| {
         let start = Instant::now() + Duration::from_millis(20);
-        let recs = run_plans(addr, &plans, &bodies, Pace::Open { start }, &|_, _| keep);
-        recs.into_iter().flatten().collect::<Vec<Rec>>()
+        run_plans(addr, &plans, &bodies, Pace::Open { start }, &|_, _| keep)
     };
     let untraced = phase(false);
     let traced = phase(true);
-    let attempted = untraced.len() + traced.len();
-    let failed = untraced.iter().chain(&traced).filter(|r| !r.ok).count();
-    let p50 = |recs: &[Rec]| median(&recs.iter().map(|r| r.latency_us).collect::<Vec<_>>());
+    let both = || untraced.iter().chain(&traced);
+    let attempted = both().map(Run::attempted).sum();
+    let failed = both().map(|r| r.failed).sum();
+    let p50 = |runs: &[Run; 2]| merged(runs.iter().map(|r| &r.search)).quantile(0.5);
     let overhead = p50(&traced) / p50(&untraced) - 1.0;
+    let traced: Vec<_> = traced.into_iter().flat_map(|r| r.kept).collect();
 
     // Replay each traced request layer by layer.
     let shard0 = snap.shard(ShardId(0)).expect("shard 0");
@@ -192,7 +198,7 @@ pub fn ledger(inp: LedgerInput) -> Ledger {
     let mut mcs_done: Vec<usize> = Vec::new();
     let mut root_spans = Vec::new();
     for (rid, r) in traced.iter().enumerate() {
-        let (Op::Search(qi), Some(served)) = (r.op, &r.body) else {
+        let (Op::Search(qi), true) = (r.op, r.ok) else {
             continue;
         };
         let root = spans.push(rid, "client.rtt", r.sent, r.done, None);
@@ -210,16 +216,10 @@ pub fn ledger(inp: LedgerInput) -> Ledger {
         spans.time(rid, "server.wire.encode", Some(root), || {
             response_to_json(&resp).to_string_compact()
         });
-        match response_from_json(served) {
-            Ok(sr) => {
-                let same = checks::same_hits("served vs in-process", &sr.hits, &resp.hits);
-                if let Err(e) = same {
-                    inp.problems.push(format!("traced request {rid}: {e}"));
-                }
-                gap_us.push(spans.us(s_span) - sr.stats.stages.total_ns() as f64 / 1e3);
-            }
-            Err(e) => inp.problems.push(format!("traced request {rid}: {e}")),
+        if let Err(e) = checks::same_hits("served vs in-process", &r.hits, &resp.hits) {
+            inp.problems.push(format!("traced request {rid}: {e}"));
         }
+        gap_us.push(spans.us(s_span) - r.stage_ns as f64 / 1e3);
         let ((_, ms), m_span) = spans.time(rid, "core.map", Some(s_span), || {
             shard0.map_query_with_stats(&q)
         });
@@ -351,19 +351,14 @@ pub fn ledger(inp: LedgerInput) -> Ledger {
     m.put("shard.rows_end", snap.len() as f64, "count");
 
     m.put("tracing.overhead_frac", overhead, "ratio");
-    let sent: Vec<&Graph> = inp
-        .timed_open
-        .iter()
-        .filter_map(|r| match r.op {
-            Op::Search(q) => Some(&inp.queries[q]),
-            _ => None,
-        })
-        .collect();
+    let sent = inp.open_queries.iter().map(|&q| &inp.queries[q]);
     m.put("load.repeat_share", repeat_share(sent), "ratio");
-    let late: Vec<f64> = inp.timed_open.iter().map(|r| r.late_us).collect();
-    m.put("load.late_p99_us", quantile(&late, 0.99), "us");
-    let (open_p50, open_tail) = summarize(&inp.timed_open, inp.tail_q);
+    let open = inp.timed_open;
+    let late = merged(open.iter().map(|r| &r.late)).quantile(0.99);
+    m.put("load.late_p99_us", late, "us");
+    let open_p50 = merged(open.iter().map(|r| &r.search)).quantile(0.5);
     m.put("load.open.search_p50_us", open_p50, "us");
+    let open_tail = merged(open.iter().map(|r| &r.all)).quantile(inp.tail_q);
     m.put("load.open.request_tail_us", open_tail, "us");
 
     let path = work_dir().join(format!(

@@ -17,8 +17,8 @@ pub const WORKERS: usize = 2;
 /// default, fsync before every ack.
 pub const SYNC: SyncPolicy = SyncPolicy::Always;
 
+/// What set-up took, and what the build reported.
 pub struct Setup {
-    pub server: GdimServer,
     /// Build, durable create and server start, end to end.
     pub total: Duration,
     /// `ShardedIndex::build` alone, and the phases it reports.
@@ -30,7 +30,7 @@ pub struct Setup {
 /// Builds `chem_db(100)` into 4 shards × 32 dimensions with the
 /// default (`Auto`) selection strategy and serves it, from
 /// `durable_dir` under [`SYNC`] when given.
-pub fn setup(durable_dir: Option<&Path>) -> Setup {
+pub fn setup(durable_dir: Option<&Path>) -> (GdimServer, Setup) {
     let t0 = Instant::now();
     let db = database();
     let tb = Instant::now();
@@ -40,26 +40,38 @@ pub fn setup(durable_dir: Option<&Path>) -> Setup {
     );
     let build = tb.elapsed();
     let stats = index.shard(ShardId(0)).expect("shard 0").stats().clone();
-    let cfg = ServerConfig::new().with_workers(WORKERS);
     let (server, server_start) = match durable_dir {
         Some(dir) => {
             let durable = DurableHandle::create(dir, index, SYNC).expect("create durable dir");
             let t = Instant::now();
-            let server = GdimServer::start_durable(durable, cfg).expect("bind loopback server");
+            let server =
+                GdimServer::start_durable(durable, config()).expect("bind loopback server");
             (server, t.elapsed())
         }
         None => {
             let t = Instant::now();
-            let server =
-                GdimServer::start(ServingHandle::new(index), cfg).expect("bind loopback server");
+            let server = GdimServer::start(ServingHandle::new(index), config())
+                .expect("bind loopback server");
             (server, t.elapsed())
         }
     };
-    Setup {
-        server,
+    let setup = Setup {
         total: t0.elapsed(),
         build,
         stats,
         server_start,
-    }
+    };
+    (server, setup)
+}
+
+/// Serves `index` from a fresh durable directory `dir` under [`SYNC`]:
+/// the start of every churn episode after the first, whose server
+/// [`setup`] starts.
+pub fn serve_durable(dir: &Path, index: ShardedIndex) -> GdimServer {
+    let durable = DurableHandle::create(dir, index, SYNC).expect("create durable dir");
+    GdimServer::start_durable(durable, config()).expect("bind loopback server")
+}
+
+fn config() -> ServerConfig {
+    ServerConfig::new().with_workers(WORKERS)
 }

@@ -1,7 +1,6 @@
 //! Percentiles and the metric list a run prints.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of `values` by the nearest-rank rule on
 /// a sorted copy. Failed requests enter as `f64::INFINITY`, so they
@@ -21,48 +20,93 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// Requests per chunk of [`chunked_quantile`] and [`chunked_rate`].
-pub const CHUNK: usize = 400;
+/// The smallest latency a [`Hist`] tells apart, in µs.
+const FLOOR_US: f64 = 1.0;
 
-/// The median, over consecutive chunks of [`CHUNK`] values (in the
-/// order given, at least one chunk), of each chunk's `q`-quantile. A
-/// stall of the host that spoils a few chunks then moves the result
-/// no more than a few chunks' worth of ranks.
-pub fn chunked_quantile(values: &[f64], q: f64) -> f64 {
-    let chunks = (values.len() / CHUNK).max(1);
-    let per = values.len() / chunks;
-    let each: Vec<f64> = (0..chunks)
-        .map(|c| {
-            let end = if c + 1 == chunks {
-                values.len()
-            } else {
-                (c + 1) * per
-            };
-            quantile(&values[c * per..end], q)
-        })
-        .collect();
-    median(&each)
+/// A latency histogram of fixed size, so the load generator's memory
+/// does not grow with how many requests a run sends. Failed requests
+/// count as `f64::INFINITY`, over every bucket.
+#[derive(Clone)]
+pub struct Hist {
+    counts: Vec<u32>,
+    /// Relative width of a bucket: a quantile is within this share of
+    /// the exact one.
+    growth: f64,
+    failed: u64,
+    n: u64,
 }
 
-/// Completions per second: the median over consecutive chunks of
-/// [`CHUNK`] completion instants (sorted, at least one chunk) of each
-/// chunk's rate, the first chunk measured from `start`.
-pub fn chunked_rate(start: Instant, done: &mut [Instant]) -> f64 {
-    done.sort();
-    let chunks = (done.len() / CHUNK).max(1);
-    let per = done.len() / chunks;
-    let each: Vec<f64> = (0..chunks)
-        .map(|c| {
-            let end = if c + 1 == chunks {
-                done.len()
-            } else {
-                (c + 1) * per
-            };
-            let from = if c == 0 { start } else { done[c * per - 1] };
-            (end - c * per) as f64 / (done[end - 1] - from).as_secs_f64()
-        })
-        .collect();
-    median(&each)
+/// Buckets of 0.2% reaching past 100 s (about 37 KB).
+impl Default for Hist {
+    fn default() -> Self {
+        Hist::with_buckets(1.002, 9300)
+    }
+}
+
+impl Hist {
+    fn with_buckets(growth: f64, buckets: usize) -> Self {
+        Hist {
+            counts: vec![0; buckets],
+            growth,
+            failed: 0,
+            n: 0,
+        }
+    }
+
+    /// Buckets of 1% reaching past 10 s (about 6.5 KB), for the many
+    /// short slices of a closed loop.
+    pub fn coarse() -> Self {
+        Hist::with_buckets(1.01, 1620)
+    }
+
+    pub fn record(&mut self, us: f64) {
+        self.n += 1;
+        if !us.is_finite() {
+            self.failed += 1;
+            return;
+        }
+        let b = ((us.max(FLOOR_US) / FLOOR_US).ln() / self.growth.ln()) as usize;
+        let last = self.counts.len() - 1;
+        self.counts[b.min(last)] += 1;
+    }
+
+    pub fn merge(&mut self, other: &Hist) {
+        assert_eq!(
+            self.counts.len(),
+            other.counts.len(),
+            "merge of unlike histograms"
+        );
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.failed += other.failed;
+        self.n += other.n;
+    }
+
+    pub fn len(&self) -> u64 {
+        self.n
+    }
+
+    /// The `q`-quantile by the nearest-rank rule, placed inside its
+    /// bucket by the rank's position among the bucket's entries (on a
+    /// log scale). `INFINITY` when the rank falls on a failed request,
+    /// `NaN` when empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.n == 0 {
+            return f64::NAN;
+        }
+        let rank = ((q * self.n as f64).ceil() as u64).clamp(1, self.n);
+        let mut below = 0u64;
+        for (b, &c) in self.counts.iter().enumerate() {
+            let c = u64::from(c);
+            if below + c >= rank {
+                let within = (rank - below) as f64 - 0.5;
+                return FLOOR_US * self.growth.powf(b as f64 + within / c as f64);
+            }
+            below += c;
+        }
+        f64::INFINITY
+    }
 }
 
 /// The arithmetic mean (`NaN` when empty).
@@ -131,10 +175,26 @@ mod tests {
     }
 
     #[test]
-    fn chunked_quantile_ignores_one_spoiled_chunk() {
-        let mut v: Vec<f64> = (0..4 * CHUNK).map(|i| (i % 100) as f64).collect();
-        v[..CHUNK].iter_mut().for_each(|x| *x = 1e9);
-        assert_eq!(chunked_quantile(&v, 0.99), 98.0);
-        assert_eq!(chunked_quantile(&[5.0, 7.0], 0.5), 5.0);
+    fn histogram_quantiles_are_near_exact() {
+        let v: Vec<f64> = (1..=10_000).map(|i| 50.0 + f64::from(i) * 0.7).collect();
+        let mut h = Hist::default();
+        v.iter().for_each(|&x| h.record(x));
+        for q in [0.01, 0.5, 0.95, 0.99] {
+            let (exact, got) = (quantile(&v, q), h.quantile(q));
+            assert!((got / exact - 1.0).abs() < 0.002, "q {q}: {got} vs {exact}");
+        }
+        let mut other = Hist::default();
+        other.record(f64::INFINITY);
+        h.merge(&other);
+        assert_eq!(h.len(), 10_001);
+        assert_eq!(h.quantile(1.0), f64::INFINITY);
+        assert!(Hist::default().quantile(0.5).is_nan());
+        let mut coarse = Hist::coarse();
+        v.iter().for_each(|&x| coarse.record(x));
+        let (exact, got) = (quantile(&v, 0.5), coarse.quantile(0.5));
+        assert!(
+            (got / exact - 1.0).abs() < 0.01,
+            "coarse p50: {got} vs {exact}"
+        );
     }
 }
